@@ -67,7 +67,8 @@ def jit_rates():
     jit_solver = _solver("jit")
     numpy_rate = _timed_steps(numpy_solver, STEPS)
     jit_rate = _timed_steps(jit_solver, STEPS)
-    stats = jit_solver.engine.counters()["jit"]
+    counters = jit_solver.engine.counters()
+    stats = counters["jit"]
     return {
         "grid": GRID,
         "steps": STEPS,
@@ -78,10 +79,10 @@ def jit_rates():
             np.max(np.abs(jit_solver.u - numpy_solver.u))
         ),
         "spec": stats["spec"],
-        "compiled": stats["compiled"],
+        "backend": counters["backend"],
+        "tiles": counters["tiles"],
         "sweep_calls": stats["sweep_calls"],
         "dt_calls": stats["dt_calls"],
-        "fallbacks": stats["fallbacks"],
         "compile_seconds": stats["compile_seconds"],
         "cache_hits": stats["cache_hits"],
         "cache_misses": stats["cache_misses"],
@@ -115,11 +116,11 @@ def test_jit_is_bit_for_bit_with_numpy(jit_rates):
 
 def test_jit_kernels_actually_served(jit_rates):
     """The measurement must be of the compiled path, not a silent
-    full-fallback run dressed up as one."""
-    assert jit_rates["compiled"]
+    NumPy run dressed up as one: every strip went through the kernel."""
+    assert jit_rates["backend"] == "jit"
     assert jit_rates["sweep_calls"] > 0
     assert jit_rates["dt_calls"] > 0
-    assert not jit_rates["fallbacks"]
+    assert jit_rates["sweep_calls"] + jit_rates["dt_calls"] == jit_rates["tiles"]
 
 
 def test_jit_speedup_gate(jit_rates):

@@ -19,8 +19,8 @@ variables × ndim specialization is lowered to kernel IR, verified
 (:mod:`repro.analysis.jit_verify`), and its access map run through the
 dependence prover (:mod:`repro.analysis.deps` — footprint vs. ghost
 width, strip write-disjointness) ahead of time, so a specialization
-that could not be compiled or threaded is caught in CI rather than at
-first engine use.
+whose strips are not provably independent is caught in CI rather
+than at first engine use.
 
 Output is a human-readable report, or JSONL (``--json``, one
 ``"kind": "diagnostic"`` object per line — the

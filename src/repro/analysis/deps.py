@@ -4,16 +4,15 @@ The paper's parallelization story rests on the SaC compiler *proving*
 with-loop iterations independent before it threads them.  This module
 is that proof engine for the reproduction, shared by two clients:
 
-* the compiled-kernel layer (:mod:`repro.jit`): every kernel carries a
-  machine-readable **access map** (:class:`AccessMap`, built by
+* the compiled-kernel lint (``repro.lint --jit``): every kernel carries
+  a machine-readable **access map** (:class:`AccessMap`, built by
   :func:`repro.jit.codegen.sweep_access_map` from the same geometry the
   C emitter uses) describing each array's affine read/write row indices
   and loop bounds.  :func:`prove_footprint` re-derives the stencil
   footprint from the map and checks it against the declared ghost
   width; :func:`prove_strips` additionally proves that distinct strips
-  of a tile plan touch disjoint output rows.  A passing
-  :class:`StripProof` — and only a passing one — licenses the threaded
-  strip dispatcher in :class:`repro.jit.backend.JitBackend`;
+  of a tile plan touch disjoint output rows, so the strips could run
+  in any order or in parallel;
 * the with-loop checker (:mod:`repro.analysis.wl_check`): generator
   boxes with *symbolic* bounds become :class:`LinExpr` boxes and
   :func:`box_relation` delivers real verdicts (proven disjoint, proven

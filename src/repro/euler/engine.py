@@ -23,9 +23,14 @@ partitioned into strips of rows whose whole
 ``tile_bytes`` budget, so every intermediate stays cache-resident
 instead of round-tripping DRAM once per ufunc.  ``compute_dt`` fuses
 the primitive conversion with the GetDT eigenvalue pass strip-by-strip,
-eliminating the dt phase's second full-grid traversal.  Both paths are
-bit-for-bit identical to the untiled behaviour (``tile_bytes=0``), which
-is the seed path the differential tests pin.
+eliminating the dt phase's second full-grid traversal.  Untiled
+(``tile_bytes=0``) is the one-strip plan through the same loop, and
+every plan is bit-for-bit identical to the seed path the differential
+tests pin.
+
+The compiled backend (:mod:`repro.jit`) is chosen once per engine: a
+strip is served either by the loaded kernel or, on an engine without
+one, by the NumPy kernels — never a mix.
 
 The engine also keeps per-phase wall-clock counters (boundary fill,
 reconstruction, Riemann fluxes, flux differencing, Runge-Kutta combine,
@@ -36,6 +41,7 @@ the scratch footprint in bytes; ``perf.scaling`` measured mode and
 
 from __future__ import annotations
 
+import math
 from time import perf_counter
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -52,7 +58,6 @@ from repro.euler.riemann import get_riemann_solver
 from repro.euler.reconstruction import get_scheme
 from repro.euler.timestep import (
     eigenvalues_into,
-    get_dt,
     max_eigenvalue,
     member_max_eigenvalues,
 )
@@ -120,28 +125,25 @@ class StepEngine:
         self.steps_taken = 0
         self.rhs_evaluations = 0
         self.primitive_conversions = 0
-        #: Effective cache-blocking budget (0 = untiled seed behaviour).
+        #: Effective cache-blocking budget (0 = one strip per sweep).
         self.tile_bytes = tiling.resolve_tile_bytes(
             getattr(config, "tile_bytes", None)
         )
         #: Strips processed, cumulative over sweeps and fused dt passes.
         self.tiles_processed = 0
-        #: Untiled GetDT reductions (standalone eigenvalue pass) vs fused
-        #: per-strip convert+eigenvalue passes — the benchmark asserts the
-        #: tiled path never runs the standalone pass.
-        self.dt_eigen_passes = 0
+        #: Fused per-strip convert+eigenvalue passes.
         self.dt_fused_strips = 0
         self._tile_plans: Dict[Tuple, tiling.TilePlan] = {}
         self._fresh_primitive = False
         self._primitive_target: Optional[np.ndarray] = None
-        #: Compiled-kernel backend (None = plain NumPy path).  Resolution
-        #: order: the ``backend=`` argument, then any
-        #: :func:`repro.jit.backend_override`, then ``REPRO_JIT``, then
-        #: auto-detection — see :mod:`repro.jit`.  The backend serves
-        #: whole strips and falls back to the NumPy oracle per strip for
-        #: anything it cannot compile, so results are bit-for-bit
-        #: identical either way.
-        self.backend = repro_jit.create_backend(config, self.ndim, backend)
+        #: Compiled-kernel backend, or None with the reason the whole run
+        #: is NumPy.  Resolution order: the ``backend=`` argument, then
+        #: any :func:`repro.jit.backend_override`, then ``REPRO_JIT``,
+        #: then auto-detection — see :mod:`repro.jit`.  Results are
+        #: bit-for-bit identical either way.
+        self.backend, self.backend_reason = repro_jit.create_backend(
+            config, self.ndim, backend
+        )
         if self.backend is not None:
             self.seconds["jit_sweep"] = 0.0
             self.seconds["jit_dt"] = 0.0
@@ -162,10 +164,10 @@ class StepEngine:
             "scratch_bytes": self.scratch_bytes,
             "tiles": self.tiles_processed,
             "tile_bytes": self.tile_bytes,
-            "dt_eigen_passes": self.dt_eigen_passes,
             "dt_fused_strips": self.dt_fused_strips,
             "seconds": dict(self.seconds),
             "backend": "numpy" if self.backend is None else self.backend.name,
+            "backend_reason": self.backend_reason,
         }
         if self.backend is not None:
             counters["jit"] = self.backend.stats()
@@ -173,43 +175,31 @@ class StepEngine:
 
     # -- tiling ---------------------------------------------------------
 
-    def _sweep_plan(self, padded_shape: Tuple[int, ...]) -> Optional[tiling.TilePlan]:
-        """The strip plan for a sweep over ``padded_shape`` (None = untiled)."""
-        if self.tile_bytes == 0:
-            return None
-        key = ("sweep", padded_shape)
-        plan = self._tile_plans.get(key)
-        if plan is None:
-            n_cells = padded_shape[0] - 2 * self.ghost_cells
-            cross = 1
-            for extent in padded_shape[1:-1]:
-                cross *= extent
-            if self.backend is not None:
+    def _plan(self, kind: str, shape: Tuple[int, ...]) -> tiling.TilePlan:
+        """The (cached) strip plan for a ``"sweep"`` over padded ``shape``
+        or a ``"dt"`` pass over state ``shape``; a zero budget is one
+        strip covering every cell."""
+        key = (kind, shape)
+        if key not in self._tile_plans:
+            cross = math.prod(shape[1:-1])
+            if kind == "dt":
+                n_cells = shape[0]
+                row_bytes = tiling.dt_row_bytes(cross, shape[-1])
+            else:
+                n_cells = shape[0] - 2 * self.ghost_cells
                 # The compiled sweep materialises no per-ufunc
                 # intermediates, so a strip's working set is far
                 # smaller; strips grow to fill the same budget.
-                row_bytes = tiling.jit_sweep_row_bytes(
-                    cross, padded_shape[-1], self.ghost_cells
+                row_bytes = (
+                    tiling.jit_sweep_row_bytes(cross, shape[-1], self.ghost_cells)
+                    if self.backend is not None
+                    else tiling.sweep_row_bytes(
+                        cross, shape[-1], self.config, self.ghost_cells
+                    )
                 )
-            else:
-                row_bytes = tiling.sweep_row_bytes(
-                    cross, padded_shape[-1], self.config, self.ghost_cells
-                )
-            plan = tiling.plan_tiles(n_cells, row_bytes, self.tile_bytes)
-            self._tile_plans[key] = plan
-        return plan
-
-    def _dt_plan(self, state_shape: Tuple[int, ...]) -> tiling.TilePlan:
-        """The strip plan for the fused convert+GetDT pass over ``state_shape``."""
-        key = ("dt", state_shape)
-        plan = self._tile_plans.get(key)
-        if plan is None:
-            row_bytes = tiling.dt_row_bytes(
-                int(np.prod(state_shape[1:-1], dtype=int)), state_shape[-1]
-            )
-            plan = tiling.plan_tiles(state_shape[0], row_bytes, self.tile_bytes)
-            self._tile_plans[key] = plan
-        return plan
+            budget = self.tile_bytes or n_cells * row_bytes
+            self._tile_plans[key] = tiling.plan_tiles(n_cells, row_bytes, budget)
+        return self._tile_plans[key]
 
     # -- primitive scratch ---------------------------------------------
 
@@ -244,29 +234,14 @@ class StepEngine:
     ) -> float:
         """CFL time step from ``u``; leaves the primitive scratch fresh.
 
-        With tiling enabled the primitive conversion and the GetDT
-        eigenvalue pass run fused, strip by strip: each strip of ``u``
-        is converted into ``target`` and reduced to its max signal speed
-        while still cache-resident, so the dt phase makes no second
-        full-grid traversal.  ``max`` is exact and order-independent, so
-        the dt is bit-for-bit the untiled value; the converted
-        ``target`` is complete and stays fresh for the first RK stage
-        exactly like the untiled path.
+        The primitive conversion and the GetDT eigenvalue pass run
+        fused, strip by strip: each strip of ``u`` is converted into
+        ``target`` and reduced to its max signal speed while still
+        cache-resident, so the dt phase makes no second full-grid
+        traversal.  ``max`` is exact and order-independent, so the dt is
+        bit-for-bit the one-strip value; the converted ``target`` is
+        complete and stays fresh for the first RK stage.
         """
-        if self.tile_bytes == 0:
-            primitive = self.primitive_into(u, target=target)
-            self._fresh_primitive = True
-            started = perf_counter()
-            dt = get_dt(
-                primitive,
-                self.spacing,
-                self.config.cfl,
-                self.config.gamma,
-                work=self.workspace,
-            )
-            self.seconds["dt"] += perf_counter() - started
-            self.dt_eigen_passes += 1
-            return dt
         cfl = self.config.cfl
         if cfl <= 0.0:
             raise ConfigurationError(f"CFL number must be positive, got {cfl}")
@@ -274,25 +249,25 @@ class StepEngine:
             target = self.workspace.array("engine.primitive", self.grid_shape)
         gamma = self.config.gamma
         ws = self.workspace
-        plan = self._dt_plan(u.shape)
+        plan = self._plan("dt", u.shape)
         strip_maxima = ws.array("engine.dt_strip_max", (len(plan.tiles),))
         for index, tile in enumerate(plan.tiles):
             rows = slice(tile.start, tile.stop)
-            if self.backend is not None and self.backend.dt_strip(
-                self, u[rows], target[rows], strip_maxima[index : index + 1]
-            ):
-                self.tiles_processed += 1
-                continue
-            started = perf_counter()
-            state.primitive_from_conservative(
-                u[rows], gamma, out=target[rows], work=ws
-            )
-            self.seconds["convert"] += perf_counter() - started
-            started = perf_counter()
-            ev = eigenvalues_into(target[rows], self.spacing, gamma, work=ws)
-            strip_maxima[index] = ev.max()
-            self.seconds["dt"] += perf_counter() - started
-            self.tiles_processed += 1
+            if self.backend is not None:
+                self.backend.dt_strip(
+                    self, u[rows], target[rows], strip_maxima[index : index + 1]
+                )
+            else:
+                started = perf_counter()
+                state.primitive_from_conservative(
+                    u[rows], gamma, out=target[rows], work=ws
+                )
+                self.seconds["convert"] += perf_counter() - started
+                started = perf_counter()
+                ev = eigenvalues_into(target[rows], self.spacing, gamma, work=ws)
+                strip_maxima[index] = ev.max()
+                self.seconds["dt"] += perf_counter() - started
+        self.tiles_processed += len(plan.tiles)
         self.dt_fused_strips += len(plan.tiles)
         self.primitive_conversions += 1
         self._primitive_target = target
@@ -300,10 +275,9 @@ class StepEngine:
         started = perf_counter()
         largest = float(strip_maxima.max())
         if not np.isfinite(largest):
-            # Reproduce the untiled path's diagnostic exactly: a full-grid
-            # pass over the (complete) converted state names the offending
-            # cells.  max_eigenvalue always raises here since the global
-            # max is non-finite.
+            # A full-grid pass over the (complete) converted state names
+            # the offending cells.  max_eigenvalue always raises here
+            # since the global max is non-finite.
             try:
                 max_eigenvalue(target, self.spacing, gamma, work=ws)
             finally:
@@ -360,6 +334,70 @@ class StepEngine:
             high_spec.fill(padded[::-1], ng)
         self.seconds["bc"] += perf_counter() - started
 
+    def _flux_difference(
+        self, padded_strip: np.ndarray, spacing: float, target: np.ndarray
+    ) -> None:
+        """``target = -(F[i+1/2] - F[i-1/2]) / spacing`` for one padded strip."""
+        if self.backend is not None:
+            self.backend.sweep(self, padded_strip, spacing, target)
+            return
+        flux = self._face_fluxes(padded_strip)
+        started = perf_counter()
+        np.subtract(flux[1:], flux[:-1], out=target)
+        np.negative(target, out=target)
+        np.divide(target, spacing, out=target)
+        self.seconds["difference"] += perf_counter() - started
+
+    def _sweep(
+        self,
+        padded: np.ndarray,
+        low_spec,
+        high_spec,
+        spacing: float,
+        out: np.ndarray,
+        oriented: bool,
+    ) -> None:
+        """The strip loop both sweeps share.
+
+        A strip owning output rows ``[start, stop)`` reads padded rows
+        ``[start, stop + 2 ng)`` and produces faces ``[start, stop + 1)``.
+        Every kernel in the chain is elementwise per face, so each
+        strip's values are bit-for-bit the rows a one-strip pass would
+        produce (adjacent strips just recompute one shared face).
+        """
+        self._fill_boundaries(padded, low_spec, high_spec)
+        ng = self.ghost_cells
+        for tile in self._plan("sweep", padded.shape).tiles:
+            padded_strip = padded[tile.start : tile.stop + 2 * ng]
+            if oriented:
+                contribution = self.workspace.array(
+                    "engine.contribution_y", (tile.cells,) + padded.shape[1:]
+                )
+                self._flux_difference(padded_strip, spacing, contribution)
+                self._accumulate_oriented(
+                    contribution, out[..., tile.start : tile.stop, :]
+                )
+            else:
+                self._flux_difference(
+                    padded_strip, spacing, out[tile.start : tile.stop]
+                )
+            self.tiles_processed += 1
+
+    def _accumulate_oriented(self, contribution: np.ndarray, view: np.ndarray) -> None:
+        """Add sweep-layout ``contribution`` rows into global-layout ``view``."""
+        started = perf_counter()
+        # moveaxis generalizes the (rows, nx, 4) -> (nx, rows, 4)
+        # transpose to any leading batch axes: (rows, B, nx, 4)
+        # becomes (B, nx, rows, 4), matching the global-layout view.
+        transposed = np.moveaxis(contribution, 0, -2)
+        for field_out, field_src in _SWAP_FIELDS:
+            np.add(
+                view[..., field_out],
+                transposed[..., field_src],
+                out=view[..., field_out],
+            )
+        self.seconds["difference"] += perf_counter() - started
+
     def sweep_axis0(
         self,
         padded: np.ndarray,
@@ -368,50 +406,8 @@ class StepEngine:
         spacing: float,
         out: np.ndarray,
     ) -> None:
-        """Axis-0 sweep: fill edges, flux, difference — *writes* ``out``.
-
-        With tiling enabled the whole reconstruct/riemann/difference
-        chain runs strip by strip: a strip owning output rows
-        ``[start, stop)`` reads padded rows ``[start, stop + 2 ng)``
-        and produces faces ``[start, stop + 1)``.  Every kernel in the
-        chain is elementwise per face, so each strip's values are
-        bit-for-bit the rows a full-grid pass would produce (adjacent
-        strips just recompute one shared face).
-        """
-        self._fill_boundaries(padded, low_spec, high_spec)
-        plan = self._sweep_plan(padded.shape)
-        backend = self.backend
-        if plan is None:
-            if backend is not None and backend.sweep(self, padded, spacing, out):
-                return
-            flux = self._face_fluxes(padded)
-            started = perf_counter()
-            np.subtract(flux[1:], flux[:-1], out=out)
-            np.negative(out, out=out)
-            np.divide(out, spacing, out=out)
-            self.seconds["difference"] += perf_counter() - started
-            return
-        ng = self.ghost_cells
-        if backend is not None and backend.sweep_tiled(
-            self, padded, plan, spacing, out
-        ):
-            self.tiles_processed += len(plan.tiles)
-            return
-        for tile in plan.tiles:
-            padded_strip = padded[tile.start : tile.stop + 2 * ng]
-            target = out[tile.start : tile.stop]
-            if backend is not None and backend.sweep(
-                self, padded_strip, spacing, target
-            ):
-                self.tiles_processed += 1
-                continue
-            flux = self._face_fluxes(padded_strip)
-            started = perf_counter()
-            np.subtract(flux[1:], flux[:-1], out=target)
-            np.negative(target, out=target)
-            np.divide(target, spacing, out=target)
-            self.seconds["difference"] += perf_counter() - started
-            self.tiles_processed += 1
+        """Axis-0 sweep: fill edges, flux, difference — *writes* ``out``."""
+        self._sweep(padded, low_spec, high_spec, spacing, out, oriented=False)
 
     def sweep_axis1(
         self,
@@ -425,75 +421,11 @@ class StepEngine:
 
         ``oriented_padded`` is in sweep layout (axis 1 of the grid along
         its axis 0, velocity fields swapped, see :meth:`orient_into`);
-        the contribution is added back in global layout without
-        materialising the un-oriented copy the seed path makes.
-
-        Tiled like :meth:`sweep_axis0`; a strip of oriented rows
-        ``[start, stop)`` accumulates into the ``out`` *columns*
-        ``[:, start:stop]``.
+        each strip of oriented rows ``[start, stop)`` is added back into
+        the ``out`` *columns* ``[:, start:stop]`` in global layout,
+        without materialising the un-oriented copy the seed path makes.
         """
-        self._fill_boundaries(oriented_padded, low_spec, high_spec)
-        plan = self._sweep_plan(oriented_padded.shape)
-        ng = self.ghost_cells
-        backend = self.backend
-        if plan is not None and backend is not None:
-            contribution = self.workspace.array(
-                "engine.contribution_y_full",
-                (plan.n_cells,) + oriented_padded.shape[1:],
-            )
-            if backend.sweep_tiled(
-                self, oriented_padded, plan, spacing, contribution
-            ):
-                started = perf_counter()
-                # One full-buffer accumulate: each output element still
-                # receives exactly one add, so this is bitwise the
-                # per-strip accumulation below.
-                transposed = np.moveaxis(contribution, 0, -2)
-                for field_out, field_src in _SWAP_FIELDS:
-                    np.add(
-                        out[..., field_out],
-                        transposed[..., field_src],
-                        out=out[..., field_out],
-                    )
-                self.seconds["difference"] += perf_counter() - started
-                self.tiles_processed += len(plan.tiles)
-                return
-        if plan is None:
-            strips = ((None, oriented_padded),)
-        else:
-            strips = (
-                (tile, oriented_padded[tile.start : tile.stop + 2 * ng])
-                for tile in plan.tiles
-            )
-        for tile, padded_strip in strips:
-            contribution = self.workspace.array(
-                "engine.contribution_y",
-                (padded_strip.shape[0] - 2 * ng,) + padded_strip.shape[1:],
-            )
-            if backend is None or not backend.sweep(
-                self, padded_strip, spacing, contribution
-            ):
-                flux = self._face_fluxes(padded_strip)
-                started = perf_counter()
-                np.subtract(flux[1:], flux[:-1], out=contribution)
-                np.negative(contribution, out=contribution)
-                np.divide(contribution, spacing, out=contribution)
-                self.seconds["difference"] += perf_counter() - started
-            started = perf_counter()
-            # moveaxis generalizes the (rows, nx, 4) -> (nx, rows, 4)
-            # transpose to any leading batch axes: (rows, B, nx, 4)
-            # becomes (B, nx, rows, 4), matching the global-layout view.
-            transposed = np.moveaxis(contribution, 0, -2)
-            view = out if tile is None else out[..., tile.start : tile.stop, :]
-            for field_out, field_src in _SWAP_FIELDS:
-                np.add(
-                    view[..., field_out],
-                    transposed[..., field_src],
-                    out=view[..., field_out],
-                )
-            self.seconds["difference"] += perf_counter() - started
-            if tile is not None:
-                self.tiles_processed += 1
+        self._sweep(oriented_padded, low_spec, high_spec, spacing, out, oriented=True)
 
     @staticmethod
     def orient_into(window: np.ndarray, target: np.ndarray) -> None:
@@ -699,9 +631,9 @@ class BatchEngine(StepEngine):
         """Per-member CFL steps as a ``(B,)`` vector (member clocks).
 
         Entry ``b`` is bit-for-bit the standalone ``compute_dt`` of
-        member ``b``.  Tiled mode strips over *members* and fuses the
-        conversion with the eigenvalue pass per strip; either way the
-        converted primitive stack stays fresh for the first RK stage.
+        member ``b``.  The pass strips over *members* and fuses the
+        conversion with the eigenvalue pass per strip; the converted
+        primitive stack stays fresh for the first RK stage.
         A non-finite member raises a member-local :class:`PhysicsError`
         with ``batch_index`` set (siblings' entries are unaffected).
         """
@@ -713,41 +645,28 @@ class BatchEngine(StepEngine):
         if target is None:
             target = ws.array("engine.primitive", self.grid_shape)
         maxima = ws.array("engine.dt_member_max", (self.batch,))
-        if self.tile_bytes == 0:
+        # The dt plan partitions axis 0 — the *member* axis here — into
+        # strips whose convert+eigenvalue working set fits the budget.
+        plan = self._plan("dt", u.shape)
+        for tile in plan.tiles:
+            rows = slice(tile.start, tile.stop)
+            if self.backend is not None:
+                # One group per member: the compiled reduction mirrors
+                # member_max_eigenvalues' per-member max exactly.
+                self.backend.dt_strip(self, u[rows], target[rows], maxima[rows])
+                continue
             started = perf_counter()
-            state.primitive_from_conservative(u, gamma, out=target, work=ws)
+            state.primitive_from_conservative(
+                u[rows], gamma, out=target[rows], work=ws
+            )
             self.seconds["convert"] += perf_counter() - started
             started = perf_counter()
             member_max_eigenvalues(
-                target, self.spacing, gamma, out=maxima, work=ws
+                target[rows], self.spacing, gamma, out=maxima[rows], work=ws
             )
             self.seconds["dt"] += perf_counter() - started
-            self.dt_eigen_passes += 1
-        else:
-            # _dt_plan partitions axis 0 — the *member* axis here — into
-            # strips whose convert+eigenvalue working set fits the budget.
-            plan = self._dt_plan(u.shape)
-            for tile in plan.tiles:
-                rows = slice(tile.start, tile.stop)
-                # One group per member: the compiled reduction mirrors
-                # member_max_eigenvalues' per-member max exactly.
-                if self.backend is not None and self.backend.dt_strip(
-                    self, u[rows], target[rows], maxima[rows]
-                ):
-                    self.tiles_processed += 1
-                    continue
-                started = perf_counter()
-                state.primitive_from_conservative(
-                    u[rows], gamma, out=target[rows], work=ws
-                )
-                self.seconds["convert"] += perf_counter() - started
-                started = perf_counter()
-                member_max_eigenvalues(
-                    target[rows], self.spacing, gamma, out=maxima[rows], work=ws
-                )
-                self.seconds["dt"] += perf_counter() - started
-                self.tiles_processed += 1
-            self.dt_fused_strips += len(plan.tiles)
+        self.tiles_processed += len(plan.tiles)
+        self.dt_fused_strips += len(plan.tiles)
         self.primitive_conversions += 1
         self._primitive_target = target
         self._fresh_primitive = True

@@ -37,9 +37,11 @@ How it works
 * :class:`repro.jit.backend.JitBackend` is the ``KernelBackend`` the
   :class:`~repro.euler.engine.StepEngine` dispatches through,
   strip-wise, so :mod:`repro.euler.tiling` still governs the working
-  set.  Anything the compiled path does not support (characteristic
-  projection with wide stencils, missing compiler, non-float64 state)
-  falls back to the NumPy oracle per strip, counted and attributed.
+  set.  Fallback is per engine, not per strip: a spec the compiled
+  path does not lower (characteristic projection with wide stencils)
+  or a kernel that does not build or load (no compiler) leaves the
+  engine on the NumPy oracle for the whole run, with the reason in
+  ``engine.counters()["backend_reason"]``.
 
 Backend selection
 -----------------
@@ -50,7 +52,7 @@ Resolution order (first match wins):
 2. a :func:`backend_override` context (used by tests/benchmarks);
 3. the ``REPRO_JIT`` environment variable — ``0``/``off``/``numpy``
    forces NumPy, ``1``/``on``/``jit`` requests the compiled path
-   (still falling back per strip, counted, if compilation fails);
+   (still NumPy, with a counted reason, if the kernel does not load);
 4. *auto*: use the compiled path when a C compiler is available.
 """
 
@@ -64,24 +66,15 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "JIT_ENV",
-    "THREADS_ENV",
     "available",
     "backend_override",
     "resolve_backend_name",
-    "resolve_jit_threads",
     "create_backend",
 ]
 
 #: Environment switch: "0"/"off"/"numpy" disables the compiled path,
 #: "1"/"on"/"jit" requests it, unset means auto-detect.
 JIT_ENV = "REPRO_JIT"
-
-#: Worker-thread count for the proof-licensed threaded strip dispatch
-#: (see :meth:`repro.jit.backend.JitBackend.sweep_tiled`).  Unset or 1
-#: keeps the serial per-strip dispatch; >= 2 threads a sweep's strips
-#: over a pool of GIL-releasing ctypes calls *iff* the dependence
-#: prover licensed the plan.
-THREADS_ENV = "REPRO_JIT_THREADS"
 
 _NUMPY_WORDS = frozenset({"0", "off", "numpy", "false", "no"})
 _JIT_WORDS = frozenset({"1", "on", "jit", "true", "yes"})
@@ -134,29 +127,6 @@ def resolve_backend_name(explicit: Optional[str] = None) -> str:
     return "jit" if available() else "numpy"
 
 
-def resolve_jit_threads(explicit: Optional[object] = None) -> int:
-    """Worker-thread count for the threaded strip dispatch (>= 1).
-
-    ``explicit`` wins over the ``REPRO_JIT_THREADS`` environment
-    variable; unset means 1 (serial per-strip dispatch, the bitwise
-    baseline the threaded path must reproduce exactly).
-    """
-    raw = explicit if explicit is not None else os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        count = int(str(raw).strip())
-    except ValueError:
-        raise ConfigurationError(
-            f"{THREADS_ENV} must be a positive integer, got {raw!r}"
-        ) from None
-    if count < 1:
-        raise ConfigurationError(
-            f"{THREADS_ENV} must be >= 1, got {count}"
-        )
-    return count
-
-
 @contextmanager
 def backend_override(name: Optional[str]) -> Iterator[None]:
     """Scoped backend selection: ``"numpy"``, ``"jit"``, ``"auto"`` or
@@ -183,10 +153,11 @@ def backend_override(name: Optional[str]) -> Iterator[None]:
 
 
 def create_backend(config, ndim: int, explicit: Optional[str] = None):
-    """The engine-side entry point: a :class:`~repro.jit.backend.JitBackend`
-    for this config/rank, or ``None`` for the plain NumPy path."""
+    """The engine-side entry point: ``(backend, None)`` with a loaded
+    :class:`~repro.jit.backend.JitBackend`, or ``(None, reason)`` for an
+    engine that runs NumPy throughout."""
     if resolve_backend_name(explicit) == "numpy":
-        return None
-    from repro.jit.backend import JitBackend
+        return None, "numpy requested" if available() else "no C compiler on PATH"
+    from repro.jit.backend import load_backend
 
-    return JitBackend(config, ndim)
+    return load_backend(config, ndim)

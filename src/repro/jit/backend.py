@@ -1,6 +1,6 @@
 """The ``KernelBackend`` the StepEngine dispatches through.
 
-A :class:`JitBackend` owns the compiled kernels for one engine's
+A :class:`JitBackend` owns the loaded kernel for one engine's
 specialization and serves two strip-level operations:
 
 * :meth:`sweep` — the fused ``reconstruct -> riemann -> difference``
@@ -9,50 +9,36 @@ specialization and serves two strip-level operations:
   over one strip, writing the primitive conversion and per-group
   maxima.
 
-Both return ``False`` when they cannot serve the call — unsupported
-specialization, no compiler, unexpected dtype/layout — and the engine
-runs its NumPy oracle for exactly that strip.  Every fallback is
-counted by reason (:attr:`fallbacks`), so "silently slower" is at
-least never "silently unexplained".  An IR verification failure is
-*not* a fallback: it means an emitter produced malformed IR (a bug),
-and the :class:`~repro.errors.AnalysisError` propagates with the
+The backend is chosen once per engine: :func:`load_backend` returns one
+only when the spec lowers and its kernel loads, and otherwise hands the
+engine a reason to run NumPy for the whole run.  A backend serves every
+call it gets — strided inputs and outputs go through contiguous
+workspace scratch plus one exact copy.  An IR verification failure is
+not a reason to run NumPy: it means an emitter produced malformed IR (a
+bug), and the :class:`~repro.errors.AnalysisError` propagates with the
 specialization named.
 
-Compilation happens lazily on the first served call and is cached
-across engines and processes (see :mod:`repro.jit.compile`); time spent
-is booked to the engine's ``jit_sweep``/``jit_dt`` phase counters.
-
-**Threaded strips.**  With ``REPRO_JIT_THREADS >= 2``, :meth:`sweep_tiled`
-dispatches a whole tile plan's strips over a thread pool — the compiled
-sweep is a pure C function called through :mod:`ctypes`, which releases
-the GIL, so strips genuinely run in parallel.  Threading is licensed
-*per plan* by the dependence prover (:mod:`repro.analysis.deps`): the
-kernel's access map must prove every strip in bounds for the declared
-ghost width and all strips' shared writes disjoint.  A failing or
-unavailable proof serializes the plan with a counted reason
-(:attr:`serialized`) — never silently — and the engine's ordinary
-per-strip loop runs instead.  Because each strip writes a disjoint row
-range of ``out`` and reads only its own padded window, the threaded
-result is bit-for-bit the serial result; the bit-identity sweep in
-``tests/euler/test_jit_threads.py`` enforces exactly that.
+Kernels are cached across engines and processes (see
+:mod:`repro.jit.compile`); time spent in the served calls is booked to
+the engine's ``jit_sweep``/``jit_dt`` phase counters.
 """
 
 from __future__ import annotations
 
 import ctypes
-from concurrent.futures import ThreadPoolExecutor
+import math
 from time import perf_counter
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-import repro.jit as repro_jit
 from repro.analysis.jit_verify import verify_kernel
+from repro.errors import ConfigurationError
 from repro.jit import codegen
 from repro.jit import compile as jit_compile
-from repro.jit.kernels import build_dt_ir, build_flux_ir, spec_from_config
+from repro.jit.kernels import KernelSpec, build_dt_ir, build_flux_ir, spec_from_config
 
-__all__ = ["JitBackend"]
+__all__ = ["JitBackend", "load_backend"]
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 
@@ -61,108 +47,83 @@ def _ptr(array: np.ndarray):
     return array.ctypes.data_as(_DOUBLE_P)
 
 
+def _staged(workspace, name: str, array: np.ndarray, load: bool) -> np.ndarray:
+    """``array`` when C-contiguous, else a contiguous workspace twin
+    (filled from ``array`` when ``load``); copies are exact."""
+    if array.flags.c_contiguous:
+        return array
+    twin = workspace.array(name, array.shape)
+    if load:
+        np.copyto(twin, array)
+    return twin
+
+
+def _require_float64(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        if array.dtype != np.float64:
+            raise ConfigurationError(
+                f"compiled kernels take float64 arrays, got {array.dtype}"
+            )
+
+
+def load_backend(config, ndim: int) -> Tuple[Optional["JitBackend"], Optional[str]]:
+    """``(backend, None)`` when the spec lowers and its kernel loads,
+    else ``(None, reason)`` and the engine runs NumPy throughout."""
+    spec, reason = spec_from_config(config, ndim)
+    if spec is None:
+        return None, reason
+    label = spec.label()
+    flux_ir = build_flux_ir(spec)
+    dt_ir = build_dt_ir(spec)
+    # Emitter bugs surface here, by specialization — see module doc.
+    verify_kernel(flux_ir, label)
+    verify_kernel(dt_ir, label)
+    source = codegen.generate_source(spec, flux_ir, dt_ir)
+    try:
+        kernel = jit_compile.load_kernel(source, spec.ndim)
+    except jit_compile.CompileError as error:
+        return None, f"compile failed: {error}"
+    return JitBackend(config, spec, kernel), None
+
+
 class JitBackend:
-    """Compiled-kernel server for one ``(config, ndim)`` engine."""
+    """Compiled-kernel server for one engine's loaded specialization."""
 
     name = "jit"
 
-    def __init__(self, config, ndim: int):
+    def __init__(self, config, spec: KernelSpec, kernel: jit_compile.CompiledKernel):
         self.config = config
-        self.ndim = int(ndim)
-        self.spec, self.unsupported_reason = spec_from_config(config, ndim)
+        self.spec = spec
+        self.kernel = kernel
         self.sweep_calls = 0
         self.dt_calls = 0
-        #: Fallback reason -> count of strip calls the NumPy oracle served.
-        self.fallbacks: Dict[str, int] = {}
-        #: Worker threads for :meth:`sweep_tiled` (``REPRO_JIT_THREADS``).
-        self.threads = repro_jit.resolve_jit_threads()
-        #: Strips served by the threaded dispatcher.
-        self.strips_threaded = 0
-        #: Serialization reason -> count of strips that ran serially
-        #: because the dependence proof failed or was unavailable.
-        self.serialized: Dict[str, int] = {}
-        self._kernel: Optional[jit_compile.CompiledKernel] = None
-        self._compile_failure: Optional[str] = None
-        self._flux_ir = None
-        #: Strip-layout key -> StripProof; proofs depend only on the
-        #: kernel's access map and the strip boundaries, so one proof
-        #: per tile plan layout suffices.
-        self._strip_proofs: Dict[Tuple[Tuple[int, int], ...], object] = {}
-        self._pool: Optional[ThreadPoolExecutor] = None
 
-    # -- kernel acquisition ---------------------------------------------
-
-    def _fallback(self, reason: str) -> bool:
-        self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
-        return False
-
-    def _ensure_kernel(self) -> Optional[jit_compile.CompiledKernel]:
-        if self._kernel is not None:
-            return self._kernel
-        if self.spec is None or self._compile_failure is not None:
-            return None
-        spec = self.spec
-        label = spec.label()
-        flux_ir = build_flux_ir(spec)
-        dt_ir = build_dt_ir(spec)
-        # Emitter bugs surface here, by specialization — see module doc.
-        verify_kernel(flux_ir, label)
-        verify_kernel(dt_ir, label)
-        self._flux_ir = flux_ir
-        source = codegen.generate_source(spec, flux_ir, dt_ir)
-        try:
-            self._kernel = jit_compile.load_kernel(source, spec.ndim)
-        except jit_compile.CompileError as error:
-            self._compile_failure = f"compile failed: {error}"
-            return None
-        return self._kernel
-
-    def _unavailable_reason(self) -> str:
-        if self.unsupported_reason is not None:
-            return self.unsupported_reason
-        if self._compile_failure is not None:
-            return self._compile_failure
-        return "kernel unavailable"  # pragma: no cover - defensive
-
-    # -- strip operations -----------------------------------------------
-
-    def sweep(self, engine, padded: np.ndarray, spacing: float, out: np.ndarray) -> bool:
-        """Fused sweep over one padded strip into ``out``; False = use NumPy.
+    def sweep(self, engine, padded: np.ndarray, spacing: float, out: np.ndarray) -> None:
+        """Fused sweep over one padded strip into ``out``.
 
         ``padded`` is ``(cells + 2 ng, cross..., F)`` in sweep layout;
-        ``out`` receives the ``cells`` flux-difference rows (any layout —
-        a non-contiguous target goes through contiguous scratch and one
-        exact ``copyto``).
+        ``out`` receives the ``cells`` flux-difference rows.
         """
-        kernel = self._ensure_kernel()
-        if kernel is None:
-            return self._fallback(self._unavailable_reason())
+        _require_float64(padded, out)
         nfields = self.spec.nfields
         cells = padded.shape[0] - 2 * self.spec.ghost_cells
-        if padded.dtype != np.float64 or out.dtype != np.float64:
-            return self._fallback("non-float64 state")
-        if not padded.flags.c_contiguous:
-            return self._fallback("non-contiguous padded strip")
         if (
             padded.shape[-1] != nfields
             or cells < 1
             or out.shape != (cells,) + padded.shape[1:]
         ):
-            return self._fallback("unexpected strip geometry")
-        cross = 1
-        for extent in padded.shape[1:-1]:
-            cross *= extent
+            raise ConfigurationError(
+                f"jit sweep: padded strip {padded.shape} does not fit output {out.shape}"
+            )
+        cross = math.prod(padded.shape[1:-1])
 
         started = perf_counter()
         workspace = engine.workspace
+        source = _staged(workspace, "jit.sweep_in", padded, load=True)
+        target = _staged(workspace, "jit.sweep_out", out, load=False)
         scratch = workspace.array("jit.flux_rows", (2, cross, nfields))
-        target = (
-            out
-            if out.flags.c_contiguous
-            else workspace.array("jit.sweep_out", (cells, cross, nfields))
-        )
-        kernel.sweep(
-            _ptr(padded),
+        self.kernel.sweep(
+            _ptr(source),
             _ptr(target),
             _ptr(scratch),
             cells,
@@ -171,129 +132,12 @@ class JitBackend:
             float(spacing),
         )
         if target is not out:
-            np.copyto(out, target.reshape(out.shape))
+            np.copyto(out, target)
         engine.seconds["jit_sweep"] += perf_counter() - started
         self.sweep_calls += 1
-        return True
 
-    # -- threaded strip dispatch ----------------------------------------
-
-    def _serialize(self, reason: str, strips: int) -> bool:
-        """Count ``strips`` serialized strips under ``reason``; False."""
-        self.serialized[reason] = self.serialized.get(reason, 0) + strips
-        return False
-
-    def _strip_proof(self, plan):
-        """The (cached) dependence proof for this plan's strip layout.
-
-        Proofs depend only on the kernel's access map, the ghost width,
-        and the strip boundaries, so one verdict per layout suffices.  A
-        prover *crash* is itself an unavailable proof (DEP004-shaped
-        reason) — it must serialize the plan, never take the engine down.
-        """
-        key = tuple((tile.start, tile.stop) for tile in plan.tiles)
-        proof = self._strip_proofs.get(key)
-        if proof is None:
-            from repro.analysis import deps
-
-            try:
-                amap = codegen.sweep_access_map(self.spec, self._flux_ir)
-                proof = deps.prove_strips(
-                    amap,
-                    key,
-                    self.spec.ghost_cells,
-                    where=self.spec.label(),
-                )
-            except Exception as error:
-                proof = deps.StripProof(
-                    licensed=False, reason=f"DEP004: prover failed: {error}"
-                )
-            self._strip_proofs[key] = proof
-        return proof
-
-    def _workers(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.threads, thread_name_prefix="repro-jit"
-            )
-        return self._pool
-
-    def sweep_tiled(self, engine, padded, plan, spacing: float, out) -> bool:
-        """Serve a whole tile plan's sweep over the thread pool; False = serial.
-
-        Licensed *only* by a passing dependence proof over the plan's
-        strip layout (DEP001/002/003 clean, proof available): each strip
-        then writes a proven-disjoint row range of ``out`` from its own
-        padded window through a GIL-releasing ctypes call, so the result
-        is bit-for-bit the serial per-strip dispatch.  A failing or
-        unavailable proof serializes with a per-strip counted reason in
-        :attr:`serialized`; configurations the threaded path simply does
-        not apply to (1 thread, single-strip plan, kernel unavailable,
-        unexpected dtype/geometry) return False silently and take the
-        ordinary serial path with its own accounting.
-        """
-        if self.threads < 2 or plan is None or len(plan.tiles) < 2:
-            return False
-        kernel = self._ensure_kernel()
-        if kernel is None or self._flux_ir is None:
-            return False
-        ng = self.spec.ghost_cells
-        nfields = self.spec.nfields
-        cells = padded.shape[0] - 2 * ng
-        if padded.dtype != np.float64 or out.dtype != np.float64:
-            return False
-        if not padded.flags.c_contiguous:
-            return False
-        if (
-            padded.shape[-1] != nfields
-            or cells != plan.n_cells
-            or out.shape != (cells,) + padded.shape[1:]
-        ):
-            return False
-        proof = self._strip_proof(plan)
-        if not proof.licensed:
-            reason = proof.reason or "DEP004: proof unavailable"
-            return self._serialize(reason, len(plan.tiles))
-        cross = 1
-        for extent in padded.shape[1:-1]:
-            cross *= extent
-
-        started = perf_counter()
-        workspace = engine.workspace
-        target = (
-            out
-            if out.flags.c_contiguous
-            else workspace.array("jit.sweep_out_full", (cells, cross, nfields))
-        )
-        # Workspace buffers are not thread-safe: allocate every strip's
-        # flux scratch up front on this thread, under distinct keys.
-        scratches = [
-            workspace.array(f"jit.flux_rows.t{index}", (2, cross, nfields))
-            for index in range(len(plan.tiles))
-        ]
-        gamma = float(self.config.gamma)
-        dx = float(spacing)
-
-        def run(index: int) -> None:
-            tile = plan.tiles[index]
-            kernel.sweep(
-                _ptr(padded[tile.start : tile.stop + 2 * ng]),
-                _ptr(target[tile.start : tile.stop]),
-                _ptr(scratches[index]),
-                tile.cells,
-                cross,
-                gamma,
-                dx,
-            )
-
-        # list() drains the iterator so worker exceptions surface here.
-        list(self._workers().map(run, range(len(plan.tiles))))
-        if target is not out:
-            np.copyto(out, target.reshape(out.shape))
-        engine.seconds["jit_sweep"] += perf_counter() - started
-        self.sweep_calls += len(plan.tiles)
-        self.strips_threaded += len(plan.tiles)
-        return True
+    # perfbench/workloads.py JIT_SPANS wraps this name; nothing else uses it.
+    sweep_tiled = sweep
 
     def dt_strip(
         self,
@@ -301,30 +145,16 @@ class JitBackend:
         u_strip: np.ndarray,
         prim_strip: np.ndarray,
         maxima_out: np.ndarray,
-    ) -> bool:
-        """Fused convert+GetDT over one strip; False = use NumPy.
+    ) -> None:
+        """Fused convert+GetDT over one strip.
 
         Writes the primitive conversion into ``prim_strip`` (kept fresh
         for RK stage 1, exactly like the NumPy path) and one max per
         group into ``maxima_out`` — one group for a solo engine strip,
         one per member for a batch strip.
         """
-        kernel = self._ensure_kernel()
-        if kernel is None:
-            return self._fallback(self._unavailable_reason())
+        _require_float64(u_strip, prim_strip, maxima_out)
         nfields = self.spec.nfields
-        if (
-            u_strip.dtype != np.float64
-            or prim_strip.dtype != np.float64
-            or maxima_out.dtype != np.float64
-        ):
-            return self._fallback("non-float64 state")
-        if not (
-            u_strip.flags.c_contiguous
-            and prim_strip.flags.c_contiguous
-            and maxima_out.flags.c_contiguous
-        ):
-            return self._fallback("non-contiguous dt strip")
         groups = maxima_out.shape[0] if maxima_out.ndim == 1 else 0
         cells = u_strip.size // nfields
         if (
@@ -333,35 +163,38 @@ class JitBackend:
             or groups < 1
             or cells % groups != 0
         ):
-            return self._fallback("unexpected strip geometry")
+            raise ConfigurationError(
+                f"jit dt: strip {u_strip.shape} does not fit"
+                f" {prim_strip.shape} / {maxima_out.shape}"
+            )
 
         started = perf_counter()
-        kernel.dt(
-            _ptr(u_strip),
-            _ptr(prim_strip),
-            _ptr(maxima_out),
+        workspace = engine.workspace
+        source = _staged(workspace, "jit.dt_in", u_strip, load=True)
+        primitive = _staged(workspace, "jit.dt_prim", prim_strip, load=False)
+        maxima = _staged(workspace, "jit.dt_max", maxima_out, load=False)
+        self.kernel.dt(
+            _ptr(source),
+            _ptr(primitive),
+            _ptr(maxima),
             groups,
             cells // groups,
             float(self.config.gamma),
             *(float(s) for s in engine.spacing),
         )
+        if primitive is not prim_strip:
+            np.copyto(prim_strip, primitive)
+        if maxima is not maxima_out:
+            np.copyto(maxima_out, maxima)
         engine.seconds["jit_dt"] += perf_counter() - started
         self.dt_calls += 1
-        return True
-
-    # -- observability ---------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
         """JSON-friendly counter snapshot (engine counters / step trace)."""
         snapshot: Dict[str, object] = {
-            "spec": self.spec.label() if self.spec is not None else None,
-            "compiled": self._kernel is not None,
+            "spec": self.spec.label(),
             "sweep_calls": self.sweep_calls,
             "dt_calls": self.dt_calls,
-            "fallbacks": dict(self.fallbacks),
-            "threads": self.threads,
-            "strips_threaded": self.strips_threaded,
-            "serialized": dict(self.serialized),
         }
         snapshot.update(jit_compile.compile_stats())
         return snapshot

@@ -39,6 +39,9 @@ __all__ = ["StepTrace", "TraceRecord", "DEFAULT_CAPACITY"]
 #: Default ring capacity — enough for forensics tails and short runs.
 DEFAULT_CAPACITY = 256
 
+#: Fields of the deleted threaded-strip layer; old payloads still parse.
+_RETIRED_FIELDS = ("jit_threads", "jit_strips_threaded", "jit_strips_serialized")
+
 
 @dataclass
 class TraceRecord:
@@ -73,12 +76,6 @@ class TraceRecord:
     jit_compile_seconds: float = 0.0
     jit_cache_hits: int = 0
     jit_cache_misses: int = 0
-    #: Proof-licensed threaded strip dispatch (cumulative snapshots):
-    #: worker threads, strips served threaded, and strips serialized
-    #: because the dependence proof failed or was unavailable.
-    jit_threads: int = 1
-    jit_strips_threaded: int = 0
-    jit_strips_serialized: int = 0
 
     def to_json(self) -> Dict[str, object]:
         """A plain-dict form with only JSON-serialisable values.
@@ -92,9 +89,12 @@ class TraceRecord:
 
     @classmethod
     def from_json(cls, payload: Dict[str, object]) -> "TraceRecord":
-        """Inverse of :meth:`to_json` (unknown keys are rejected loudly)."""
+        """Inverse of :meth:`to_json` (unknown keys are rejected loudly;
+        fields of retired layers are dropped)."""
         payload = dict(payload)
         payload.pop("kind", None)
+        for name in _RETIRED_FIELDS:
+            payload.pop(name, None)
         known = {f.name for f in cls.__dataclass_fields__.values()}
         unknown = set(payload) - known
         if unknown:
@@ -226,15 +226,11 @@ class StepTrace:
         if backend is None:
             return {}
         stats = backend.stats()
-        serialized = stats.get("serialized") or {}
         return {
             "backend": backend.name,
             "jit_compile_seconds": float(stats.get("compile_seconds", 0.0)),
             "jit_cache_hits": int(stats.get("cache_hits", 0)),
             "jit_cache_misses": int(stats.get("cache_misses", 0)),
-            "jit_threads": int(stats.get("threads", 1)),
-            "jit_strips_threaded": int(stats.get("strips_threaded", 0)),
-            "jit_strips_serialized": int(sum(serialized.values())),
         }
 
     def _phase_delta(self, solver) -> Optional[Dict[str, float]]:

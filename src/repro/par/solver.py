@@ -248,6 +248,12 @@ class ParallelSolver2D:
         """The ranks' cache-blocking budget (identical on every engine)."""
         return self._engines[0].tile_bytes if self._engines else 0
 
+    @property
+    def engine(self) -> StepEngine:
+        """Rank 0's engine, standing for the team in telemetry: every
+        rank shares its config and backend choice."""
+        return self._engines[0]
+
     def engine_counters(self) -> List[Dict[str, object]]:
         """Per-rank counter snapshots (see :meth:`StepEngine.counters`)."""
         return [engine.counters() for engine in self._engines]

@@ -179,28 +179,20 @@ def measure_batch_steprate(
 
 
 def _jit_summary(counters: Dict[str, object]) -> str:
-    """Lines making a degraded jit run visible from the CLI.
+    """The line saying which backend served the run, and why.
 
-    Reports worker threads and threaded-strip counts, then every
-    *counted reason* the backend served strips outside the fast path:
-    per-strip NumPy fallbacks and proof-failure serializations.  Empty
-    string when the engine carries no jit backend.
+    A jit engine reports its specialization and served call counts; a
+    NumPy engine reports the counted reason the jit is not serving it.
+    Empty string when the counters carry neither.
     """
     stats = counters.get("jit")
-    if not isinstance(stats, dict):
-        return ""
-    lines = [
-        f"  jit: threads={stats.get('threads', 1)}"
-        f" sweep_calls={stats.get('sweep_calls', 0)}"
-        f" strips_threaded={stats.get('strips_threaded', 0)}"
-    ]
-    fallbacks = stats.get("fallbacks") or {}
-    for reason, count in sorted(fallbacks.items()):
-        lines.append(f"  jit fallback ({count} strip(s)): {reason}")
-    serialized = stats.get("serialized") or {}
-    for reason, count in sorted(serialized.items()):
-        lines.append(f"  jit serialized ({count} strip(s)): {reason}")
-    return "\n".join(lines)
+    if isinstance(stats, dict):
+        return (
+            f"  jit: {stats.get('spec')} sweep_calls={stats.get('sweep_calls', 0)}"
+            f" dt_calls={stats.get('dt_calls', 0)}"
+        )
+    reason = counters.get("backend_reason")
+    return f"  backend numpy: {reason}" if reason else ""
 
 
 def _phase_table(result: Dict[str, object]) -> str:

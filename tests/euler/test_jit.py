@@ -6,9 +6,9 @@ harness here mirrors ``test_tiling.py``: every riemann x reconstruction
 x limiter x variables combination, 1-D and 2-D, on ragged grids with a
 tiny tile budget, asserting ``max |jit - numpy| == 0.0`` exactly.  The
 rest pins the machinery around that guarantee: backend resolution
-precedence, per-strip fallback counting, the IR verifier's diagnostic
-codes, and compile-failure degradation (compilation problems may only
-cost speed, never correctness).
+precedence, the per-engine backend choice and its counted reason, the
+IR verifier's diagnostic codes, and compile-failure degradation
+(compilation problems may only cost speed, never correctness).
 
 All solver-building tests construct under ``backend_override`` — the
 backend binds at engine construction, so nothing here depends on the
@@ -94,7 +94,7 @@ class TestCompiledBitForBit:
     two steps mean the second runs from jit-produced state.
     Characteristic variables with wide stencils are the documented
     NumPy-retained case — the results must still match exactly, served
-    through the counted fallback.
+    by a NumPy engine that counts the reason.
     """
 
     @pytest.mark.parametrize("reconstruction", RECONSTRUCTIONS)
@@ -124,20 +124,23 @@ class TestCompiledBitForBit:
             for _ in range(2):
                 assert jit.step() == oracle.step()
             assert np.max(np.abs(jit.u - oracle.u)) == 0.0, f"2-D {label}"
-            stats = _jit_stats(jit)
+            counters = jit.engine.counters()
             if lowered:
+                stats = counters["jit"]
                 assert stats["sweep_calls"] > 0, f"not served: {label}"
                 assert stats["dt_calls"] > 0, f"dt not served: {label}"
-                assert not stats["fallbacks"], f"unexpected fallback: {label}"
+                # Every strip is compiled: no NumPy strip in a jit run.
+                assert (
+                    stats["sweep_calls"] + stats["dt_calls"] == counters["tiles"]
+                ), f"strip not compiled: {label}"
             else:
-                assert stats["sweep_calls"] == 0
-                assert sum(stats["fallbacks"].values()) > 0
-                reason = next(iter(stats["fallbacks"]))
-                assert "characteristic" in reason
+                assert counters["backend"] == "numpy"
+                assert "jit" not in counters
+                assert "characteristic" in counters["backend_reason"]
 
     def test_untiled_sweeps_also_served(self, rng):
-        """tile_bytes=0 disables strip planning but not the backend:
-        the whole-grid sweep goes through the kernel in one call."""
+        """tile_bytes=0 is the one-strip plan, still compiled: each
+        sweep and each GetDT pass is one kernel call."""
         config = SolverConfig(
             reconstruction="weno3",
             riemann="hllc",
@@ -148,7 +151,9 @@ class TestCompiledBitForBit:
         for _ in range(2):
             assert jit.step() == oracle.step()
         assert np.max(np.abs(jit.u - oracle.u)) == 0.0
-        assert _jit_stats(jit)["sweep_calls"] > 0
+        stats = _jit_stats(jit)
+        assert stats["sweep_calls"] == 2 * 3 * 2  # steps x RK3 stages x axes
+        assert stats["dt_calls"] == 2
 
     def test_batched_ensemble_served_and_exact(self, rng):
         config = SolverConfig(
@@ -171,8 +176,41 @@ class TestCompiledBitForBit:
             jit.step()
             oracle.step()
         assert np.max(np.abs(jit.u - oracle.u)) == 0.0
-        stats = jit.engine.counters()["jit"]
+        counters = jit.engine.counters()
+        stats = counters["jit"]
         assert stats["sweep_calls"] > 0 and stats["dt_calls"] > 0
+        # The x-sweep's target is a strided view of the member stack; it
+        # is staged through scratch, not handed back to NumPy.
+        assert stats["sweep_calls"] + stats["dt_calls"] == counters["tiles"]
+
+    def test_batched_1d_engine_served_and_exact(self, rng):
+        """The 1-D batch hands the x-sweep a strided target; every strip
+        is still compiled and exact."""
+        from repro.euler.engine import BatchEngine
+        from repro.euler.state import conservative_from_primitive
+
+        config = SolverConfig(
+            reconstruction="tvd3",
+            riemann="hll",
+            limiter="mc",
+            variables="conservative",
+            tile_bytes=TINY_TILE_BYTES,
+        )
+        stack = np.stack([smooth_random_1d(rng, 17) for _ in range(3)])
+        states, engines = {}, {}
+        for name in ("jit", "numpy"):
+            engines[name] = BatchEngine(
+                3, (17, 3), (0.01,), config,
+                member_boundaries=[transmissive_1d() for _ in range(3)],
+                backend=name,
+            )
+            states[name] = conservative_from_primitive(stack, config.gamma)
+            for _ in range(2):
+                engines[name].step(states[name])
+        assert np.max(np.abs(states["jit"] - states["numpy"])) == 0.0
+        counters = engines["jit"].counters()
+        stats = counters["jit"]
+        assert stats["sweep_calls"] + stats["dt_calls"] == counters["tiles"] > 0
 
     def test_counter_contract_preserved(self, rng):
         """The jit path books the same logical counters as the NumPy
@@ -239,6 +277,10 @@ class TestBackendResolution:
         assert disabled.engine.backend is None
         assert disabled.engine.counters()["backend"] == "numpy"
         assert "jit" not in disabled.engine.counters()
+        assert disabled.engine.counters()["backend_reason"] in (
+            "numpy requested",
+            "no C compiler on PATH",
+        )
         monkeypatch.delenv(repro.jit.JIT_ENV)
         if HAVE_CC:
             with repro.jit.backend_override("jit"):
@@ -357,9 +399,10 @@ class TestVerifier:
 
 
 class TestCompileLayer:
-    def test_compile_failure_degrades_per_strip(self, rng, monkeypatch, tmp_path):
-        """No compiler -> CompileError -> counted fallback, exact NumPy
-        results; correctness can never depend on cc being present."""
+    def test_compile_failure_degrades_per_engine(self, rng, monkeypatch, tmp_path):
+        """No compiler -> CompileError -> a NumPy engine with the reason
+        counted, exact NumPy results; correctness can never depend on cc
+        being present."""
         monkeypatch.setenv(jit_compile.CC_ENV, "definitely-not-a-compiler")
         monkeypatch.setenv(jit_compile.CACHE_ENV, str(tmp_path / "cache"))
         # A fresh in-process cache so previously loaded kernels are
@@ -373,9 +416,9 @@ class TestCompileLayer:
         for _ in range(2):
             assert jit.step() == oracle.step()
         assert np.max(np.abs(jit.u - oracle.u)) == 0.0
-        stats = _jit_stats(jit)
-        assert stats["sweep_calls"] == 0
-        assert any("compile failed" in reason for reason in stats["fallbacks"])
+        counters = jit.engine.counters()
+        assert jit.engine.backend is None and counters["backend"] == "numpy"
+        assert counters["backend_reason"].startswith("compile failed")
 
     @needs_cc
     def test_disk_cache_hit_skips_compilation(self, monkeypatch, tmp_path):

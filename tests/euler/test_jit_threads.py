@@ -1,15 +1,14 @@
-"""Proof-licensed threaded JIT strips: bit-identical, never silent.
+"""Compiled kernels on worker threads: bit-identical to the serial run.
 
-The threaded dispatcher may only run behind a passing dependence proof
-(:mod:`repro.analysis.deps`), and its one correctness contract is
-``max |threaded - serial| == 0.0`` — enforced here across the full
-riemann x reconstruction x limiter x variables matrix.  The rest pins
-the licensing machinery: a denied or crashing proof serializes every
-strip with a counted reason (visible in counters, steprate and the
-step trace), and ``REPRO_JIT_THREADS`` parsing rejects nonsense.
-
-Thread count binds at backend construction (like the backend itself),
-so every test sets the environment *before* building solvers.
+Threads enter a jit run in one place: the worker team of
+:class:`~repro.par.ParallelSolver2D`, one rank engine per thread, all
+sharing one loaded kernel.  The ctypes kernel calls release the GIL, so
+the ranks really run at once.  The one correctness contract is
+``max |threaded - serial| == 0.0``, enforced here across the full
+riemann x reconstruction x limiter x variables matrix with strip seams
+that do not line up with the rank seam.  The dependence prover's
+verdict on the shipped kernels (the strips of a real plan are
+independent, so their order cannot matter) is pinned too.
 """
 
 import itertools
@@ -19,10 +18,11 @@ import pytest
 
 import repro.jit
 from repro.analysis import deps
-from repro.errors import ConfigurationError
-from repro.euler import problems
 from repro.euler.boundary import all_transmissive_2d
 from repro.euler.solver import EulerSolver2D, SolverConfig
+from repro.jit import codegen
+from repro.jit.kernels import build_flux_ir, spec_from_config
+from repro.par import ParallelSolver2D
 
 from tests.euler.test_jit import (
     LIMITED_SCHEMES,
@@ -31,59 +31,44 @@ from tests.euler.test_jit import (
     RIEMANN_SOLVERS,
     TINY_TILE_BYTES,
     VARIABLES,
-    _jit_stats,
     needs_cc,
     smooth_random_2d,
 )
 
 
-def _twin_threaded_2d(primitive, config, monkeypatch, threads="2"):
-    """(threaded jit solver, serial jit solver) from identical state."""
-    monkeypatch.delenv(repro.jit.THREADS_ENV, raising=False)
+def _threaded_jit(primitive, config, workers=2):
     with repro.jit.backend_override("jit"):
-        serial = EulerSolver2D(
+        return ParallelSolver2D(
+            primitive.copy(), 0.01, 0.012, all_transmissive_2d(), config,
+            workers=workers, barrier="forkjoin",
+        )
+
+
+def _serial_numpy(primitive, config):
+    with repro.jit.backend_override("numpy"):
+        return EulerSolver2D(
             primitive.copy(), 0.01, 0.012, all_transmissive_2d(), config
         )
-    monkeypatch.setenv(repro.jit.THREADS_ENV, threads)
-    with repro.jit.backend_override("jit"):
-        threaded = EulerSolver2D(
-            primitive.copy(), 0.01, 0.012, all_transmissive_2d(), config
-        )
-    return threaded, serial
 
 
-class TestResolveThreads:
-    def test_unset_means_serial(self, monkeypatch):
-        monkeypatch.delenv(repro.jit.THREADS_ENV, raising=False)
-        assert repro.jit.resolve_jit_threads() == 1
-
-    def test_env_and_explicit(self, monkeypatch):
-        monkeypatch.setenv(repro.jit.THREADS_ENV, "4")
-        assert repro.jit.resolve_jit_threads() == 4
-        assert repro.jit.resolve_jit_threads(2) == 2  # explicit wins
-
-    @pytest.mark.parametrize("bad", ("0", "-3", "two", "1.5", ""))
-    def test_bad_values_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv(repro.jit.THREADS_ENV, bad)
-        with pytest.raises(ConfigurationError, match="REPRO_JIT_THREADS"):
-            repro.jit.resolve_jit_threads()
+def _every_strip_compiled(counters) -> bool:
+    stats = counters["jit"]
+    return stats["sweep_calls"] + stats["dt_calls"] == counters["tiles"] > 0
 
 
 @needs_cc
 class TestThreadedBitIdentity:
-    """max |threaded - serial| == 0.0 across the whole method matrix.
+    """max |threaded jit - serial NumPy| == 0.0 across the method matrix.
 
     Tiny grids (9x13) with a tiny tile budget force ragged multi-strip
-    plans; two steps mean the second runs from threaded-produced state.
-    Characteristic variables with wide stencils stay NumPy-served
-    (counted fallback) and must still match exactly.
+    plans inside each rank; two steps mean the second runs from
+    threaded-produced state.  Characteristic variables with wide
+    stencils run NumPy rank engines and must still match exactly.
     """
 
     @pytest.mark.parametrize("reconstruction", RECONSTRUCTIONS)
     @pytest.mark.parametrize("riemann", RIEMANN_SOLVERS)
-    def test_threaded_equals_serial(
-        self, reconstruction, riemann, rng, monkeypatch
-    ):
+    def test_threaded_equals_serial(self, reconstruction, riemann, rng):
         limiters = LIMITERS if reconstruction in LIMITED_SCHEMES else ("minmod",)
         prim = smooth_random_2d(rng, 9, 13)
         for limiter, variables in itertools.product(limiters, VARIABLES):
@@ -95,132 +80,82 @@ class TestThreadedBitIdentity:
                 rk_order=3,
                 tile_bytes=TINY_TILE_BYTES,
             )
-            threaded, serial = _twin_threaded_2d(prim, config, monkeypatch)
-            for _ in range(2):
-                assert threaded.step() == serial.step()
             label = f"{reconstruction}/{riemann}/{limiter}/{variables}"
-            assert (
-                np.max(np.abs(threaded.u - serial.u)) == 0.0
-            ), f"threaded != serial for {label}"
+            serial = _serial_numpy(prim, config)
+            with _threaded_jit(prim, config) as threaded:
+                for _ in range(2):
+                    assert threaded.step() == serial.step()
+                assert (
+                    np.max(np.abs(threaded.u - serial.u)) == 0.0
+                ), f"threaded != serial for {label}"
+                if spec_from_config(config, 2)[0] is not None:
+                    for counters in threaded.engine_counters():
+                        assert _every_strip_compiled(counters), label
 
-    def test_threaded_strips_actually_threaded(self, rng, monkeypatch):
+    def test_threaded_strips_actually_threaded(self, rng):
+        """Two ranks on two threads, each serving every strip through
+        the one shared kernel from its own scratch."""
         config = SolverConfig(
             reconstruction="weno3",
             riemann="hllc",
             variables="primitive",
             tile_bytes=TINY_TILE_BYTES,
         )
-        threaded, serial = _twin_threaded_2d(
-            smooth_random_2d(rng, 24, 16), config, monkeypatch
-        )
-        for _ in range(2):
-            threaded.step()
-        stats = _jit_stats(threaded)
-        assert stats["threads"] == 2
-        assert stats["strips_threaded"] > 0
-        assert stats["serialized"] == {}
-        assert stats["fallbacks"] == {}
-        serial.step()
-        assert _jit_stats(serial)["strips_threaded"] == 0
-
-    def test_batched_ensemble_threaded_exact(self, monkeypatch):
-        """The batch engine hands the x-sweep a non-contiguous target;
-        the threaded path must route it through scratch bit-exactly."""
-        config = SolverConfig(
-            reconstruction="tvd2",
-            riemann="roe",
-            limiter="vanleer",
-            variables="primitive",
-            tile_bytes=TINY_TILE_BYTES,
-        )
-        machs = [1.5, 2.0, 2.5]
-        monkeypatch.delenv(repro.jit.THREADS_ENV, raising=False)
-        with repro.jit.backend_override("jit"):
-            serial, _ = problems.two_channel_ensemble(
-                machs, n_cells=16, h=8.0, config=config
-            )
-        monkeypatch.setenv(repro.jit.THREADS_ENV, "2")
-        with repro.jit.backend_override("jit"):
-            threaded, _ = problems.two_channel_ensemble(
-                machs, n_cells=16, h=8.0, config=config
-            )
-        for _ in range(2):
-            threaded.step()
-            serial.step()
-        assert np.max(np.abs(threaded.u - serial.u)) == 0.0
-        assert threaded.engine.counters()["jit"]["strips_threaded"] > 0
+        with _threaded_jit(smooth_random_2d(rng, 24, 16), config) as threaded:
+            for _ in range(2):
+                threaded.step()
+            assert threaded.workers == 2
+            first, second = threaded._engines
+            assert first.backend.kernel is second.backend.kernel
+            assert first.workspace is not second.workspace
+            for counters in threaded.engine_counters():
+                assert _every_strip_compiled(counters)
 
 
 @needs_cc
 class TestProofLicensing:
-    """Threading happens only behind a passing proof; anything else
-    serializes with a counted reason — never silently."""
-
-    def _threaded_solver(self, rng, monkeypatch):
+    def test_real_proof_licenses_the_shipped_kernels(self, rng):
+        """No monkeypatching: the access map of a shipped kernel proves
+        the strips of the engine's real multi-strip plans independent."""
         config = SolverConfig(
             reconstruction="weno3",
             riemann="hllc",
             variables="primitive",
             tile_bytes=TINY_TILE_BYTES,
         )
-        return _twin_threaded_2d(
-            smooth_random_2d(rng, 24, 16), config, monkeypatch
-        )
+        with repro.jit.backend_override("jit"):
+            solver = EulerSolver2D(
+                smooth_random_2d(rng, 24, 16), 0.01, 0.012,
+                all_transmissive_2d(), config,
+            )
+        solver.step()
+        spec = solver.engine.backend.spec
+        amap = codegen.sweep_access_map(spec, build_flux_ir(spec))
+        plans = [
+            plan
+            for (kind, _), plan in solver.engine._tile_plans.items()
+            if kind == "sweep"
+        ]
+        assert len(plans) == 2  # one per axis
+        for plan in plans:
+            assert len(plan.tiles) > 1
+            strips = tuple((tile.start, tile.stop) for tile in plan.tiles)
+            proof = deps.prove_strips(
+                amap, strips, spec.ghost_cells, where=spec.label()
+            )
+            assert proof.licensed, proof.reason
 
-    def test_denied_proof_serializes_with_reason(self, rng, monkeypatch):
-        denied = deps.StripProof(
-            False, "DEP002: seeded overlapping-plan denial", ()
-        )
-        monkeypatch.setattr(
-            deps, "prove_strips", lambda *args, **kw: denied
-        )
-        threaded, serial = self._threaded_solver(rng, monkeypatch)
-        for _ in range(2):
-            assert threaded.step() == serial.step()
-        assert np.max(np.abs(threaded.u - serial.u)) == 0.0
-        stats = _jit_stats(threaded)
-        assert stats["strips_threaded"] == 0
-        assert sum(stats["serialized"].values()) > 0
-        reason = next(iter(stats["serialized"]))
-        assert reason.startswith("DEP002")
-
-    def test_prover_crash_serializes_as_dep004(self, rng, monkeypatch):
-        """A prover bug must cost threading, never correctness or the
-        process."""
-
-        def boom(*args, **kw):
-            raise RuntimeError("seeded prover crash")
-
-        monkeypatch.setattr(deps, "prove_strips", boom)
-        threaded, serial = self._threaded_solver(rng, monkeypatch)
-        for _ in range(2):
-            assert threaded.step() == serial.step()
-        assert np.max(np.abs(threaded.u - serial.u)) == 0.0
-        stats = _jit_stats(threaded)
-        assert stats["strips_threaded"] == 0
-        reason = next(iter(stats["serialized"]))
-        assert reason.startswith("DEP004")
-        assert "seeded prover crash" in reason
-
-    def test_real_proof_licenses_the_shipped_kernels(self, rng, monkeypatch):
-        """No monkeypatching: the actual access maps of the shipped
-        kernels prove out, so threading is genuinely licensed."""
-        threaded, _ = self._threaded_solver(rng, monkeypatch)
-        threaded.step()
-        stats = _jit_stats(threaded)
-        assert stats["strips_threaded"] > 0
-        assert stats["serialized"] == {}
-
-    def test_trace_record_carries_thread_counters(self, rng, monkeypatch):
+    def test_trace_record_carries_thread_counters(self, rng):
+        """The step trace of a threaded jit run names the jit backend
+        and the worker count."""
         from repro.obs.trace import StepTrace
 
-        threaded, _ = self._threaded_solver(rng, monkeypatch)
-        trace = StepTrace()
-        dt = threaded.step()
-        record = trace.record_step(threaded, dt)
-        assert record.backend == "jit"
-        assert record.jit_threads == 2
-        assert record.jit_strips_threaded > 0
-        assert record.jit_strips_serialized == 0
-        decoded = type(record).from_json(record.to_json())
-        assert decoded.jit_threads == 2
+        config = SolverConfig(
+            reconstruction="weno3", riemann="hllc", variables="primitive"
+        )
+        with _threaded_jit(smooth_random_2d(rng, 24, 16), config) as threaded:
+            trace = StepTrace()
+            record = trace.record_step(threaded, threaded.step())
+        assert record.backend == "jit" and record.workers == 2
+        assert record.jit_cache_hits + record.jit_cache_misses >= 1
+        assert type(record).from_json(record.to_json()) == record

@@ -174,6 +174,25 @@ class TestJsonl:
         assert record.jit_compile_seconds == 0.0
         assert record.jit_cache_hits == 0 and record.jit_cache_misses == 0
 
+    def test_retired_thread_fields_still_parse(self):
+        """Payloads from before threaded strips were deleted carry three
+        retired counters; they load, and do not come back out."""
+        payload = _record(0).to_json()
+        payload.update(
+            jit_threads=2, jit_strips_threaded=6, jit_strips_serialized=0
+        )
+        record = TraceRecord.from_json(payload)
+        assert record.to_json() == _record(0).to_json()
+
+    def test_committed_steprate_trace_parses(self):
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[2] / "BENCH_steprate_trace.jsonl"
+        records = read_jsonl(path)
+        assert records and [r.step for r in records] == list(
+            range(1, len(records) + 1)
+        )
+
 
 class TestBackendTelemetry:
     def test_numpy_solver_records_numpy_backend(self):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.jit
 from repro.errors import PhysicsError
 from repro.euler import problems
 from repro.euler.boundary import (
@@ -129,6 +130,28 @@ def test_exchange_counter_matches_structure():
         assert parallel.halo_exchanges == 3 * links
         parallel.step()
         assert parallel.halo_exchanges == 6 * links
+
+
+@pytest.mark.skipif(not repro.jit.available(), reason="no C compiler on PATH")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_jit_ranks_compile_every_strip(workers):
+    """Rank engines hand the jit strided halo-buffer views (the x-sweep's
+    padded window and the dt target); they are staged through scratch,
+    so every sweep and dt strip is compiled and the run is still the
+    serial NumPy run bit for bit."""
+    with repro.jit.backend_override("numpy"):
+        serial, _ = problems.two_channel(n_cells=64, h=32.0, config=PAPER_BENCH)
+    with repro.jit.backend_override("jit"):
+        parallel = ParallelSolver2D.from_serial(serial, workers=workers)
+    with parallel:
+        serial.run(max_steps=3)
+        parallel.run(max_steps=3)
+        np.testing.assert_array_equal(parallel.u, serial.u)
+        for counters in parallel.engine_counters():
+            stats = counters["jit"]
+            assert stats["dt_calls"] == counters["dt_fused_strips"] > 0
+            sweep_strips = counters["tiles"] - counters["dt_fused_strips"]
+            assert stats["sweep_calls"] == sweep_strips > 0
 
 
 def test_from_serial_copies_clock_and_state():

@@ -71,23 +71,38 @@ def test_cli_backend_flag(tmp_path, capsys):
     assert out.exists()
 
 
-def test_jit_summary_surfaces_fallbacks_and_serializations():
+def test_jit_summary_names_spec_and_calls():
     from repro.steprate import _jit_summary
 
     counters = {
-        "jit": {
-            "threads": 2,
-            "sweep_calls": 10,
-            "strips_threaded": 6,
-            "fallbacks": {"non-float64 state": 3},
-            "serialized": {"DEP002: seeded overlap": 4},
-        }
+        "backend": "jit",
+        "backend_reason": None,
+        "jit": {"spec": "hllc/pc/minmod/primitive/float64/2d",
+                "sweep_calls": 10, "dt_calls": 2},
     }
     summary = _jit_summary(counters)
-    assert "threads=2" in summary
-    assert "strips_threaded=6" in summary
-    assert "jit fallback (3 strip(s)): non-float64 state" in summary
-    assert "jit serialized (4 strip(s)): DEP002: seeded overlap" in summary
+    assert summary == (
+        "  jit: hllc/pc/minmod/primitive/float64/2d sweep_calls=10 dt_calls=2"
+    )
+
+
+def test_jit_summary_prints_numpy_backend_reason():
+    from repro.steprate import _jit_summary
+
+    counters = {"backend": "numpy", "backend_reason": "compile failed: no cc"}
+    assert _jit_summary(counters) == "  backend numpy: compile failed: no cc"
+
+
+def test_cli_prints_backend_reason(capsys):
+    """A run the jit cannot lower says why it is NumPy."""
+    code = main(
+        ["--grid", "12", "--steps", "1", "--backend", "jit",
+         "--reconstruction", "weno3", "--variables", "characteristic"]
+    )
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert "backend=numpy" in printed
+    assert "backend numpy: characteristic projection is not lowered" in printed
 
 
 def test_jit_summary_silent_without_backend():
